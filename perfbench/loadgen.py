@@ -6,6 +6,12 @@ request, so a slower program receives proportionally less load (a
 closed loop, the traffic of callers that each wait for their answer).
 It sends a fixed number of requests, then collects what is still in
 flight.  Latency is per request, from its send to its reply.
+
+While it sends, the generator samples its progress every
+:data:`WINDOW_S` seconds: the instant, the replies answered so far and
+the server's CPU seconds (``cpu_probe``).  The rates over these windows
+let the run report medians, which a burst of noise on a shared host
+moves far less than a whole-run average.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from dataclasses import dataclass, field
 INFLIGHT = 64
 #: Seconds to wait for the in-flight replies after the last send.
 COLLECT_TIMEOUT_S = 60.0
+#: Seconds between progress samples of the measured phase.
+WINDOW_S = 1.0
 
 
 @dataclass
@@ -31,6 +39,9 @@ class LoadResult:
     lines: list = field(default_factory=list)  # wire bytes of request i
     replies: list = field(default_factory=list)  # decoded reply or None
     latencies: list = field(default_factory=list)  # seconds, answered only
+    #: ``(instant, answered ok so far, server CPU seconds)`` every
+    #: :data:`WINDOW_S` while requests are still being sent.
+    samples: list = field(default_factory=list)
     started: float = 0.0
     finished: float = 0.0
 
@@ -57,24 +68,33 @@ def request_line(request_id: int, table) -> bytes:
 
 
 def run_closed_loop(
-    host: str, port: int, stream, requests: int, inflight: int = INFLIGHT
+    host: str,
+    port: int,
+    stream,
+    requests: int,
+    cpu_probe,
+    inflight: int = INFLIGHT,
 ) -> LoadResult:
     """Send the first ``requests`` queries of ``stream`` (``(table, expected)``).
 
+    ``cpu_probe()`` returns the serving processes' CPU seconds so far.
     The cyclic garbage collector is off while the phase runs: a full
     collection over the growing reply log would stall the generator and
     read as server latency.
     """
     gc.disable()
     try:
-        return _run(host, port, stream, requests, inflight)
+        return _run(host, port, stream, requests, cpu_probe, inflight)
     finally:
         gc.enable()
 
 
-def _run(host: str, port: int, stream, requests: int, inflight: int) -> LoadResult:
+def _run(
+    host: str, port: int, stream, requests: int, cpu_probe, inflight: int
+) -> LoadResult:
     result = LoadResult()
     sent_at: list[float] = []
+    answered = 0
     with socket.create_connection((host, port), timeout=COLLECT_TIMEOUT_S) as sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         reader = sock.makefile("rb")
@@ -90,6 +110,8 @@ def _run(host: str, port: int, stream, requests: int, inflight: int) -> LoadResu
             sock.sendall(line)
 
         result.started = time.perf_counter()
+        result.samples.append((result.started, 0, cpu_probe()))
+        next_sample = result.started + WINDOW_S
         for _ in range(min(inflight, requests)):
             send_next()
         outstanding = len(result.tables)
@@ -109,7 +131,11 @@ def _run(host: str, port: int, stream, requests: int, inflight: int) -> LoadResu
                 result.latencies.append(now - sent_at[request_id])
                 result.finished = now
                 outstanding -= 1
+                answered += bool(reply.get("ok"))
                 if len(result.tables) < requests:
+                    if now >= next_sample:
+                        result.samples.append((now, answered, cpu_probe()))
+                        next_sample = now + WINDOW_S
                     send_next()
                     outstanding += 1
         except socket.timeout:

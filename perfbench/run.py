@@ -10,9 +10,10 @@ Run from the root of a checkout.  The program runs as it ships —
 from the seed with the code in the checkout.  One closed-loop client
 (one thread, one connection, 64 requests in flight) sends a fixed
 number of the workload's queries, sized to last about ``--seconds`` on
-the reference host (``NOMINAL_QPS``).  Every answer then passes the
-correctness gate (``gate.py``); a wrong answer fails the run with exit
-code 1 and no numbers.
+the reference host (``NOMINAL_QPS``); throughput and server CPU per
+query are medians over its one-second windows.  Every answer then
+passes the correctness gate (``gate.py``); a wrong answer fails the run
+with exit code 1 and no numbers.
 
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` prints the
 per-layer metrics of a separate traced run (``replay.py``).  The last
@@ -48,6 +49,9 @@ WORKLOADS = ("cuts", "wide", "fabric")
 NOMINAL_QPS = {"cuts": 1600, "wide": 2200, "fabric": 1400}
 #: Set-ups per end-to-end run; ``setup_s`` is their median.
 SETUPS = 2
+#: Leading sample windows of the measured phase left out of its
+#: medians: the daemon's caches and the connection warm up in it.
+WARMUP_WINDOWS = 1
 #: Serving processes each workload runs (the generator adds one).
 SERVING_PROCESSES = {"cuts": 1, "wide": 1, "fabric": 2}
 
@@ -203,9 +207,15 @@ class Run:
         self.artifact = self._artifact("served")
         self.daemons, target = self._start(self.artifact)
         self.phases["setups"] = time.perf_counter() - started
-        cpu_before = sum(d.cpu_seconds() for d in self.daemons)
-        self.load = run_closed_loop(target.host, target.port, self.stream, self.requests)
-        self.cpu_s = sum(d.cpu_seconds() for d in self.daemons) - cpu_before
+
+        def server_cpu() -> float:
+            return sum(d.cpu_seconds() for d in self.daemons)
+
+        cpu_before = server_cpu()
+        self.load = run_closed_loop(
+            target.host, target.port, self.stream, self.requests, server_cpu
+        )
+        self.cpu_s = server_cpu() - cpu_before
         self.peak_rss_mb = sum(d.peak_rss_mb() for d in self.daemons)
         serving = self.daemons[0]
         # /metrics first: reading /v1/stats is itself a recorded request.
@@ -251,15 +261,21 @@ class Run:
     # Metrics
     # ------------------------------------------------------------------
 
+    def windows(self) -> dict:
+        return window_rates(self.load, self.cpu_s)
+
     def end_to_end(self) -> dict:
         load = self.load
-        ok = load.answered_ok
+        windows = self.windows()
         return _metrics(
             {
                 "setup_s": (statistics.median(self.setups), "s"),
-                "throughput_qps": (ok / load.elapsed, "1/s"),
-                "answered_frac": (ok / load.attempted, "fraction"),
-                "server_cpu_ms_per_kq": (self.cpu_s * 1e3 / (ok / 1e3), "ms"),
+                "throughput_qps": (statistics.median(windows["throughput_qps"]), "1/s"),
+                "answered_frac": (load.answered_ok / load.attempted, "fraction"),
+                "server_cpu_ms_per_kq": (
+                    statistics.median(windows["server_cpu_ms_per_kq"]),
+                    "ms",
+                ),
                 "server_peak_rss_mb": (self.peak_rss_mb, "MB"),
             }
         )
@@ -391,6 +407,16 @@ class Run:
             "spread": {
                 "setup_s": setups,
                 "setup_range_frac": (setups[-1] - setups[0]) / setups[len(setups) // 2],
+                "warmup_windows": WARMUP_WINDOWS,
+                **{
+                    name: [round(v, 1) for v in values]
+                    for name, values in self.windows().items()
+                },
+                "whole_run": {
+                    "throughput_qps": self.load.answered_ok / self.load.elapsed,
+                    "server_cpu_ms_per_kq": self.cpu_s * 1e6
+                    / max(1, self.load.answered_ok),
+                },
             },
             "artifact_state": {**self.artifact_state, "fresh_copy_per_setup": True},
             "gate": self.gate,
@@ -406,6 +432,28 @@ class Run:
                 "traced": self.traced["traced_s"],
             }
         return record
+
+
+def window_rates(load, cpu_s: float) -> dict:
+    """Per-window rates of a measured phase, warm-up left out.
+
+    Each window runs from one progress sample of the generator to the
+    next: queries answered per second, and server CPU milliseconds per
+    1,000 of them.  A phase too short for a window past the warm-up
+    (smoke runs) reads as one whole-run window.
+    """
+    samples = load.samples[WARMUP_WINDOWS:]
+    if len(samples) < 2:
+        ok = load.answered_ok
+        return {
+            "throughput_qps": [ok / load.elapsed],
+            "server_cpu_ms_per_kq": [cpu_s * 1e6 / max(1, ok)],
+        }
+    qps, cpu = [], []
+    for (t0, n0, c0), (t1, n1, c1) in zip(samples, samples[1:]):
+        qps.append((n1 - n0) / (t1 - t0))
+        cpu.append((c1 - c0) * 1e6 / max(1, n1 - n0))
+    return {"throughput_qps": qps, "server_cpu_ms_per_kq": cpu}
 
 
 def _worker_state(router) -> str | None:

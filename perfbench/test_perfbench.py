@@ -4,6 +4,7 @@
   every metric ``BENCHMARK.json`` lists, by name and with its unit;
 * the correctness gate fires on a corrupted witness transform and on a
   hit turned into a miss;
+* window rates leave the warm-up out and fall back to the whole run;
 * outside a checkout (only ``BENCHMARK.json`` and ``perfbench/``) the
   benchmark exits non-zero without printing a result.
 """
@@ -25,6 +26,8 @@ sys.path.insert(0, str(HERE))
 sys.path.insert(0, str(ROOT / "src"))
 
 from gate import GateError, check_answers  # noqa: E402
+from loadgen import LoadResult  # noqa: E402
+from run import WARMUP_WINDOWS, window_rates  # noqa: E402
 from repro.core.transforms import random_transform  # noqa: E402
 from repro.library import build_exhaustive_library  # noqa: E402
 from repro.service.protocol import match_payload, ok_reply  # noqa: E402
@@ -108,6 +111,22 @@ def test_gate_fires_on_hit_turned_into_miss(served):
     replies[5]["result"] = {"hit": False, "n": 3, "cached": False}
     with pytest.raises(GateError, match="offline reference"):
         check_answers(tables, expected, replies, library)
+
+
+def test_window_rates_leave_the_warm_up_out():
+    load = LoadResult(replies=[{"ok": True}] * 5000, started=0.0, finished=4.0)
+    warm_up = [(0.0, 0, 0.0)] * WARMUP_WINDOWS
+    load.samples = warm_up + [(1.0, 1000, 1.0), (2.0, 3000, 2.0), (3.0, 4000, 2.5)]
+    rates = window_rates(load, cpu_s=3.0)
+    assert rates["throughput_qps"] == [2000.0, 1000.0]
+    assert rates["server_cpu_ms_per_kq"] == [500.0, 500.0]
+
+
+def test_window_rates_fall_back_to_the_whole_run():
+    load = LoadResult(replies=[{"ok": True}] * 500, started=0.0, finished=0.5)
+    load.samples = [(0.0, 0, 0.0)]
+    rates = window_rates(load, cpu_s=0.25)
+    assert rates == {"throughput_qps": [1000.0], "server_cpu_ms_per_kq": [500.0]}
 
 
 def test_refuses_to_run_without_the_program():
