@@ -7,7 +7,10 @@ jobs work against it unchanged.  Behind that front it routes:
 
 1. a table op's **shard key** is the signature digest of the query
    (``n{n}-{digest}`` — NPN-invariant, so a query hashes exactly where
-   its class lives);
+   its class lives).  Keys are computed in per-tick batches: every
+   table op arriving in one event-loop tick joins one packed
+   :class:`BatchedClassifier` pass, byte-identical to
+   :func:`shard_key_of` per query;
 2. the consistent-hash ring names the key's owner and replica workers;
 3. the request is dispatched over the owner's pipelined channel, where
    concurrent requests to the same shard coalesce into burst writes the
@@ -44,6 +47,8 @@ import time
 
 from repro import obs
 from repro.core.msv import DEFAULT_PARTS, normalize_parts
+from repro.core.truth_table import TruthTable
+from repro.engine import BatchedClassifier
 from repro.fabric.backoff import RetryPolicy
 from repro.fabric.channel import ChannelClosed, DispatchTimeout, WorkerChannel
 from repro.fabric.registry import (
@@ -53,7 +58,7 @@ from repro.fabric.registry import (
     SUSPECT,
     WorkerRegistry,
 )
-from repro.fabric.ring import HashRing, shard_key_of
+from repro.fabric.ring import HashRing
 from repro.service import protocol
 from repro.service.base import LineProtocolServer, best_effort_id, query_int
 from repro.service.metrics import ServiceMetrics
@@ -146,11 +151,15 @@ class RouterService(LineProtocolServer):
         )
         self.ring: HashRing | None = None
         self.parts: tuple[str, ...] = DEFAULT_PARTS
+        self.id_scheme: str | None = None
         self.channels: dict[str, WorkerChannel] = {}
         self._sweeper: asyncio.Task | None = None
         self._retries = 0
         self._hedges = 0
         self._degraded = 0
+        # Table ops waiting for this tick's shard-key flush.
+        self._key_waiters: list[tuple[TruthTable, asyncio.Future]] = []
+        self._key_flushes = 0
 
     # ------------------------------------------------------------------
     # Lifecycle (LineProtocolServer hooks)
@@ -351,6 +360,9 @@ class RouterService(LineProtocolServer):
                 parts = normalize_parts(parts)
             except ValueError as exc:
                 raise ProtocolError("bad_request", f"bad parts: {exc}")
+        id_scheme = worker.get("id_scheme")
+        if id_scheme is not None and not isinstance(id_scheme, str):
+            raise ProtocolError("bad_request", "'id_scheme' must be a string")
         if self.ring is None:
             # First registration pins the fabric's shape; everyone after
             # must agree, or shard ownership would diverge between the
@@ -371,6 +383,20 @@ class RouterService(LineProtocolServer):
                     f"MSV parts mismatch: router has {self.parts}, "
                     f"worker {worker_id!r} announced {parts}",
                 )
+            if (
+                id_scheme is not None
+                and self.id_scheme is not None
+                and id_scheme != self.id_scheme
+            ):
+                # Different id schemes name one class differently: the
+                # answer would depend on the route the query took.
+                raise ProtocolError(
+                    "bad_request",
+                    f"id scheme mismatch: router has {self.id_scheme!r}, "
+                    f"worker {worker_id!r} announced {id_scheme!r}",
+                )
+        if self.id_scheme is None:
+            self.id_scheme = id_scheme
         capabilities = {
             key: worker.get(key)
             for key in (
@@ -393,9 +419,47 @@ class RouterService(LineProtocolServer):
 
     # ------------------------- data plane ------------------------------
 
+    def _shard_key(self, table: TruthTable) -> asyncio.Future:
+        """A future of ``(shard key, size of the flush that computed it)``.
+
+        The first table op of an event-loop tick schedules
+        :meth:`_flush_keys` with ``call_soon``; every op arriving before
+        it runs joins the same packed signature pass, so the burst in
+        flight sizes the batch.
+        """
+        loop = asyncio.get_running_loop()
+        if not self._key_waiters:
+            loop.call_soon(self._flush_keys)
+        future = loop.create_future()
+        self._key_waiters.append((table, future))
+        return future
+
+    def _flush_keys(self) -> None:
+        """Resolve every waiting op's key from one signature pass."""
+        waiters, self._key_waiters = self._key_waiters, []
+        batch = len(waiters)
+        self._key_flushes += 1
+        try:
+            engine = BatchedClassifier(self.parts, cache_size=0)
+            signatures = engine.signatures([table for table, _ in waiters])
+        except Exception as exc:
+            for _, future in waiters:
+                if not future.done():
+                    future.set_exception(ProtocolError(
+                        "internal",
+                        f"shard key batch of {batch} failed: "
+                        f"{type(exc).__name__}: {exc}",
+                    ))
+            return
+        for (_, future), signature in zip(waiters, signatures):
+            if not future.done():
+                # Byte-identical to shard_key_of, which the workers'
+                # shard_filter uses: routing and shards agree.
+                future.set_result(
+                    (f"n{signature.n}-{signature.digest()}", batch)
+                )
+
     async def _route_table_op(self, request: Request, trace=None) -> dict:
-        route_start = time.perf_counter()
-        key = shard_key_of(request.table, self.parts)
         if self.ring is None:
             self._degraded += 1
             _DEGRADED.inc()
@@ -403,13 +467,15 @@ class RouterService(LineProtocolServer):
                 "shard_unavailable",
                 "no workers have registered with this router yet",
             )
+        route_start = time.perf_counter()
+        key, batch = await self._shard_key(request.table)
         owners = self.ring.owners(key)
         if trace is not None:
             trace.add_span(
                 "route",
                 route_start,
                 time.perf_counter(),
-                {"shard": key, "owners": ",".join(owners)},
+                {"shard": key, "owners": ",".join(owners), "batch": batch},
             )
         payload = {
             "op": request.op,
@@ -514,8 +580,11 @@ class RouterService(LineProtocolServer):
             done, tasks = await asyncio.wait(
                 tasks, return_when=asyncio.FIRST_COMPLETED
             )
-            for task in done:
-                exc = task.exception()
+            # Retrieve every finished racer's exception before returning
+            # a winner: asyncio logs each unretrieved one, and a router
+            # whose output nobody reads stalls once that pipe fills.
+            outcomes = [(task, task.exception()) for task in done]
+            for task, exc in outcomes:
                 if exc is not None:
                     first_error = first_error or exc
                     continue
@@ -585,6 +654,7 @@ class RouterService(LineProtocolServer):
             "retries": self._retries,
             "hedges": self._hedges,
             "degraded": self._degraded,
+            "key_flushes": self._key_flushes,
             "channels": {
                 worker_id: {
                     "connected": channel.connected,

@@ -8,6 +8,7 @@ worker that accepts connections and never answers).
 """
 
 import json
+import random
 import socket
 import threading
 import time
@@ -15,6 +16,7 @@ import time
 import pytest
 
 from repro.core.truth_table import TruthTable
+from repro.fabric import router as router_module
 from repro.fabric.backoff import RetryPolicy
 from repro.fabric.ring import HashRing, shard_key_of
 from repro.fabric.router import RouterService
@@ -23,6 +25,36 @@ from repro.service import ServiceClient, ServiceError, ThreadedService
 from repro.service.client import http_get
 
 RING = ("w0", "w1")
+
+
+def register_line(worker: dict, request_id=1) -> bytes:
+    line = {"op": "register", "id": request_id, "worker": worker}
+    return json.dumps(line).encode() + b"\n"
+
+
+def pipelined_replies(port: int, tables) -> list[dict]:
+    """One match line per table in a single write; replies sorted by id."""
+    payload = b"".join(
+        json.dumps(
+            {"op": "match", "id": i, "table": f"0x{t.to_hex()}", "n": t.n}
+        ).encode()
+        + b"\n"
+        for i, t in enumerate(tables)
+    )
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(payload)
+        reader = sock.makefile("rb")
+        replies = [json.loads(reader.readline()) for _ in tables]
+    return sorted(replies, key=lambda reply: reply["id"])
+
+
+def mixed_arity_burst(size=64, seed=7) -> list[TruthTable]:
+    rng = random.Random(seed)
+    tables = []
+    for _ in range(size):
+        n = rng.randint(1, 4)
+        tables.append(TruthTable(n, rng.getrandbits(1 << n)))
+    return tables
 
 
 def wait_for(predicate, timeout_s=15.0, message="condition"):
@@ -116,6 +148,28 @@ class TestControlPlane:
         assert not reply["ok"]
         assert reply["error"]["type"] == "bad_request"
         assert "ring mismatch" in reply["error"]["message"]
+
+    def test_id_scheme_mismatch_is_rejected(self, fabric):
+        router, _ = fabric
+        assert router.id_scheme == "canonical"
+        before = router.registry.snapshot()["workers"]["w1"]
+        with socket.create_connection(
+            ("127.0.0.1", router.port), timeout=10
+        ) as sock:
+            sock.sendall(register_line({
+                "worker_id": "w1",
+                "address": "127.0.0.1:1",
+                "ring": HashRing(RING).spec(),
+                "id_scheme": "digest",
+            }))
+            reply = json.loads(sock.makefile("rb").readline())
+        assert not reply["ok"]
+        assert reply["error"]["type"] == "bad_request"
+        assert "id scheme mismatch" in reply["error"]["message"]
+        # The refused announcement left the registered worker alone.
+        after = router.registry.snapshot()["workers"]["w1"]
+        assert after["address"] == before["address"]
+        assert router.id_scheme == "canonical"
 
     def test_heartbeat_for_unknown_worker_says_so(self, fabric):
         router, _ = fabric
@@ -228,8 +282,58 @@ class TestRouting:
             ]
 
         wait_for(match_traces, message="the match trace to finish")
-        span_names = {s["name"] for s in match_traces()[0]["spans"]}
-        assert {"route", "dispatch", "reply"} <= span_names
+        spans = {s["name"]: s for s in match_traces()[0]["spans"]}
+        assert {"route", "dispatch", "reply"} <= set(spans)
+        # The route span names the size of the key flush it waited for.
+        assert spans["route"]["meta"]["batch"] >= 1
+
+
+class TestShardKeyBatching:
+    def test_pipelined_burst_is_keyed_in_a_few_flushes(
+        self, fabric, tiny_library
+    ):
+        router, _ = fabric
+        tables = mixed_arity_burst()
+        flushes = router._key_flushes
+        replies = pipelined_replies(router.port, tables)
+        assert router._key_flushes - flushes <= 8
+        for table, reply in zip(tables, replies):
+            assert reply["ok"], reply
+            result = reply["result"]
+            offline = tiny_library.match(table)
+            if offline is None:
+                assert not result["hit"]
+            else:
+                assert result["hit"]
+                assert result["class_id"] == offline.class_id
+                assert ServiceClient.verify(result, table)
+
+    def test_failed_flush_fails_every_waiter_then_recovers(
+        self, fabric, tiny_library, monkeypatch
+    ):
+        router, _ = fabric
+
+        class Exploding:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def signatures(self, tables):
+                raise RuntimeError("signature pass exploded")
+
+        tables = mixed_arity_burst(seed=11)
+        monkeypatch.setattr(router_module, "BatchedClassifier", Exploding)
+        replies = pipelined_replies(router.port, tables)
+        for reply in replies:
+            assert not reply["ok"]
+            assert reply["error"]["type"] == "internal"
+            assert "signature pass exploded" in reply["error"]["message"]
+        assert router._key_waiters == []
+        monkeypatch.undo()
+        replies = pipelined_replies(router.port, tables)
+        for table, reply in zip(tables, replies):
+            assert reply["ok"], reply
+            offline = tiny_library.match(table)
+            assert reply["result"]["hit"] == (offline is not None)
 
 
 class TestDegradedMode:
@@ -240,6 +344,8 @@ class TestDegradedMode:
                 with pytest.raises(ServiceError) as excinfo:
                     client.match(TruthTable(3, 0xE8))
         assert excinfo.value.error_type == "shard_unavailable"
+        # Refused before keying: no signature pass was paid for.
+        assert router._key_flushes == 0
 
     def test_all_owners_down_fails_fast_not_hanging(self, fabric):
         router, _ = fabric
