@@ -11,13 +11,15 @@ the exact pre-kernels hot path), and every witness must re-verify
 must reproduce the query exactly, via the scalar big-int ``apply`` —
 not the gather kernels that produced it.
 
-Signatures are computed once, outside both timed regions, and handed to
-both paths: the ratio isolates the witness-search hot path the kernels
-replace (the signature pass is identical shared work, and the online
-service provides it precomputed exactly the same way).  The kernel side
-takes the best of two runs so a scheduler blip on a shared runner
-cannot fail the ratio; noise on the (much longer) scalar side only
-inflates the measured speedup.
+Signatures and the library's candidate-chain index are computed once,
+outside both timed regions, and shared by both paths: the ratio
+isolates the witness-search hot path the kernels replace (the signature
+pass is identical shared work, and the online service provides it
+precomputed exactly the same way).  The kernel side takes the best of
+two runs so a scheduler blip on a shared runner cannot fail the ratio;
+noise on the (much longer) scalar side only inflates the measured
+speedup.  The first kernel run is also recorded, as
+``kernel_cold_seconds``, so cold and warm match times sit side by side.
 
 Results go to ``results/matcher.md`` (human) and
 ``results/BENCH_matcher.json`` (machine, for cross-PR tracking).
@@ -51,15 +53,19 @@ def workload_queries():
 
 
 def _seed_match_many(library, queries, signatures):
-    """The pre-kernels match loop: one scalar witness search per query."""
+    """The pre-kernels match loop: scalar witness searches per query,
+    walking the query's candidate chain in order until one hits."""
+    chains = library._chain_index()
     out = []
     for query, signature in zip(queries, signatures):
-        entry = library.classes.get(library.class_id_of(signature))
-        if entry is None:
-            out.append(None)
-            continue
-        witness = find_npn_transform_scalar(entry.representative, query)
-        out.append(None if witness is None else (entry, witness))
+        outcome = None
+        for class_id in chains.get(library.base_id_of(signature), []):
+            entry = library.classes[class_id]
+            witness = find_npn_transform_scalar(entry.representative, query)
+            if witness is not None:
+                outcome = (entry, witness)
+                break
+        out.append(outcome)
     return out
 
 
@@ -83,16 +89,18 @@ def test_kernel_matcher_speedup_and_witness_parity(
     """The acceptance run: >= 5x match_many speedup, byte-equal outcomes."""
     library, queries = workload_queries
     signatures = library._signature_engine().signatures(queries)
+    library._chain_index()
 
     start = time.perf_counter()
     scalar_outcomes = _seed_match_many(library, queries, signatures)
     scalar_seconds = time.perf_counter() - start
 
-    kernel_seconds = float("inf")
+    kernel_times = []
     for _ in range(2):
         start = time.perf_counter()
         kernel_matches = library.match_many(queries, signatures=signatures)
-        kernel_seconds = min(kernel_seconds, time.perf_counter() - start)
+        kernel_times.append(time.perf_counter() - start)
+    kernel_cold_seconds, kernel_seconds = kernel_times[0], min(kernel_times)
     kernel_outcomes = [
         None if match is None else (match.entry, match.transform)
         for match in kernel_matches
@@ -150,6 +158,7 @@ def test_kernel_matcher_speedup_and_witness_parity(
             "speedup": round(speedup, 3),
             "scalar_seconds": round(scalar_seconds, 4),
             "kernel_seconds": round(kernel_seconds, 4),
+            "kernel_cold_seconds": round(kernel_cold_seconds, 4),
             "scalar_queries_per_s": round(total / scalar_seconds),
             "kernel_queries_per_s": round(total / kernel_seconds),
             "witnesses_verified_offline": kernel_hits,

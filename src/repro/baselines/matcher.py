@@ -65,8 +65,9 @@ __all__ = [
     "variable_keys",
 ]
 
-#: Entries kept by the keyed LRUs over the per-table invariant keys —
-#: sized for a working set of library representatives plus recent queries.
+#: Entries kept by the :func:`variable_keys` LRU — the tuple keys of the
+#: scalar ``n > 6`` path and the guided baselines.  The vectorized path
+#: keeps no key cache: it keys sources and targets in one batched pass.
 VARIABLE_KEY_CACHE_SIZE = 4096
 
 #: Per-target candidate budget of the batched path; targets enumerating
@@ -114,8 +115,8 @@ def find_npn_transforms_grouped(
     """Batched witness search over many ``(source, targets)`` groups.
 
     The hot-path entry of the library's :meth:`ClassLibrary.match_many`:
-    one batched variable-key pass per arity over *all* targets, source
-    keys from a keyed LRU, and one fancy-indexed gather per arity
+    one batched variable-key pass per arity over *all* targets and
+    their distinct sources, and one fancy-indexed gather per arity
     checking every surviving candidate transform of every pair —
     candidate checks are batched across queries *and* across sources.
 
@@ -180,26 +181,11 @@ def variable_keys(tt: TruthTable) -> tuple[tuple, ...]:
     Memoized per :class:`TruthTable` (keyed LRU of
     ``VARIABLE_KEY_CACHE_SIZE`` entries): repeated ``match`` calls
     against the same library representative stop recomputing the
-    invariant keys.  The vectorized path keeps its own equally-sized LRU
-    over the int64 row encoding (:func:`repro.kernels.key_matrices`).
+    invariant keys.  The vectorized path does not use it: it computes
+    the int64 row encoding (:func:`repro.kernels.key_matrices`) for
+    sources and targets together, once per call and arity.
     """
     return _variable_keys_uncached(tt)
-
-
-@lru_cache(maxsize=VARIABLE_KEY_CACHE_SIZE)
-def _source_key_matrix(tt: TruthTable) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(key rows, cofactor pairs, satisfy count)`` of one source table.
-
-    The int64-row twin of :func:`variable_keys` the vectorized search
-    consumes; memoized so repeated matches against the same library
-    representative reuse the computed rows.
-    """
-    matrices = kernels.key_matrices(tt.n, [tt.bits])
-    return (
-        matrices.keys[0],
-        matrices.cofactors[0],
-        int(matrices.counts[0]),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -250,33 +236,31 @@ def _vector_search_arity(
     size = 1 << n
     mask = bitops.table_mask(n)
 
-    # One batched key pass over every pending target; the complement
-    # encodings (for output phase 1) are derived, not recomputed.
-    matrices = kernels.key_matrices(
-        n, [pairs[p][1][t].bits for p, t in pending]
-    )
-    complements = kernels.complement_key_matrices(matrices, n)
-
-    # Distinct sources of this arity share bit-matrix rows in the gather
-    # and stack their (LRU-cached) key rows for the candidate matrices.
+    # Distinct sources of this arity share bit-matrix rows in the gather.
     src_rows: dict[int, int] = {}
     src_ints: list[int] = []
-    src_stack: list[tuple[np.ndarray, np.ndarray, int]] = []
     src_of_target = np.empty(len(pending), dtype=np.intp)
     for k, (p, _) in enumerate(pending):
-        source = pairs[p][0]
-        row = src_rows.get(source.bits)
+        bits = pairs[p][0].bits
+        row = src_rows.get(bits)
         if row is None:
-            row = len(src_ints)
-            src_rows[source.bits] = row
-            src_ints.append(source.bits)
-            src_stack.append(_source_key_matrix(source))
+            row = src_rows[bits] = len(src_ints)
+            src_ints.append(bits)
         src_of_target[k] = row
-    s_keys = np.stack([s[0] for s in src_stack])[src_of_target]
-    s_cofs = np.stack([s[1] for s in src_stack])[src_of_target]
-    s_counts = np.array([s[2] for s in src_stack], dtype=np.int64)[
-        src_of_target
-    ]
+
+    # One batched key pass over every pending target and every distinct
+    # source (never more sources than targets, so at most twice the
+    # target rows); the complement encodings (for output phase 1) are
+    # derived, not recomputed.
+    keyed = kernels.key_matrices(
+        n, [pairs[p][1][t].bits for p, t in pending] + src_ints
+    )
+    split = len(pending)
+    matrices = kernels.KeyMatrices(*(column[:split] for column in keyed))
+    complements = kernels.complement_key_matrices(matrices, n)
+    s_keys = keyed.keys[split:][src_of_target]
+    s_cofs = keyed.cofactors[split:][src_of_target]
+    s_counts = keyed.counts[split:][src_of_target]
 
     # Candidate matrices across the whole batch: ``masks[k][i][v]`` is
     # the bitmask of input polarities slot ``i`` may take reading

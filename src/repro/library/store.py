@@ -576,13 +576,14 @@ class ClassLibrary:
         through the packed engine (arities may be mixed); the witness
         searches then run through the gather kernels with candidate
         checks batched **across queries sharing a class** — one variable
-        -key pass per arity, one gather per class group — instead of a
-        scalar search per query.  Representative keys are cached on the
-        library, so repeated calls never recompute them.  The online
-        service's coalescer calls this with ``signatures`` it already
-        computed on its shared engine; leave it ``None`` to let the
-        library compute them on a lazily created batched classifier
-        whose signature cache persists across calls.
+        -key pass per arity over the queries and their representatives
+        together, one gather per arity — instead of a scalar search per
+        query.  No representative key rows are cached, so the key work
+        of a call depends neither on the library's size nor on earlier
+        calls.  The online service's coalescer calls this with
+        ``signatures`` it already computed on its shared engine; leave
+        it ``None`` to let the library compute them on a lazily created
+        batched classifier whose signature cache persists across calls.
         """
         tts = list(tts)
         if signatures is not None:

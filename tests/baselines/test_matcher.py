@@ -18,6 +18,8 @@ from repro.baselines.matcher import (
 )
 from repro.core.transforms import NPNTransform, random_transform
 from repro.core.truth_table import TruthTable
+from repro.kernels import keys as kernel_keys
+from tests.strategies import arities, npn_orbits, truth_table_batches
 
 
 class TestPositiveMatches:
@@ -281,18 +283,34 @@ class TestVariableKeyMemoization:
         assert variable_keys(tt) is first
         assert variable_keys.cache_info().hits == hits_before + 1
 
-    def test_repeated_matches_reuse_source_keys(self):
-        """Matching many targets against one representative computes the
-        representative's key rows once."""
-        matcher._source_key_matrix.cache_clear()
+
+class TestKeyPasses:
+    def test_sources_share_the_targets_key_pass(self, monkeypatch):
+        """Several sources of one arity are keyed in the targets' batched
+        pass, and a repeated call keys them again: no hidden cache."""
+        passes = []
+        chunk_matrices = kernel_keys._chunk_matrices
+
+        def counting(n, ints):
+            passes.append((n, len(ints)))
+            return chunk_matrices(n, ints)
+
+        monkeypatch.setattr(kernel_keys, "_chunk_matrices", counting)
         rng = random.Random(22)
-        source = TruthTable.random(6, rng)
-        targets = [source.apply(random_transform(6, rng)) for _ in range(4)]
-        for target in targets:
-            assert find_npn_transform(source, target) is not None
-        info = matcher._source_key_matrix.cache_info()
-        assert info.misses == 1
-        assert info.hits >= len(targets) - 1
+        pairs = []
+        for _ in range(3):
+            source = TruthTable.random(6, rng)
+            images = [source.apply(random_transform(6, rng)) for _ in range(3)]
+            pairs.append((source, images + [TruthTable.random(6, rng)]))
+        keyed_rows = len(pairs) + sum(
+            target != source for source, targets in pairs for target in targets
+        )
+
+        first = find_npn_transforms_grouped(pairs)
+        assert passes == [(6, keyed_rows)]
+        assert find_npn_transforms_grouped(pairs) == first
+        assert passes == [(6, keyed_rows)] * 2
+        assert all(None not in row[:3] for row in first)
 
 
 @settings(max_examples=40, deadline=None)
@@ -317,3 +335,29 @@ def test_property_matcher_soundness_n3(rng):
         == exact_npn_canonical(b).representative
     )
     assert are_npn_equivalent(a, b) == expected
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_property_grouped_rows_match_scalar_with_many_sources(data):
+    """Several sources per arity, arities 1..6 mixed, one source repeated
+    in a second group whose targets include the source itself and a table
+    of another arity: every grouped row equals the scalar matcher's."""
+    pairs = []
+    mixed = st.lists(arities(1, 6), min_size=2, max_size=3, unique=True)
+    for n in data.draw(mixed):
+        misses = data.draw(truth_table_batches(n=n, max_size=2))
+        for seed, images in data.draw(
+            st.lists(npn_orbits(n=n, max_images=3), min_size=2, max_size=3)
+        ):
+            pairs.append((seed, images + misses))
+    source = pairs[0][0]
+    other_arity = next(seed for seed, _ in pairs if seed.n != source.n)
+    pairs.append((source, [source, other_arity, *pairs[1][1]]))
+
+    rows = find_npn_transforms_grouped(pairs)
+    for (source, targets), row in zip(pairs, rows):
+        assert row == [find_npn_transform_scalar(source, t) for t in targets]
+        for witness, target in zip(row, targets):
+            assert witness is None or source.apply(witness) == target
+    assert rows[-1][0] is not None and rows[-1][1] is None
