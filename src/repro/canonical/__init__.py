@@ -6,9 +6,10 @@ canonical form:
 * :mod:`repro.canonical.influence` — per-variable influence vectors and
   the influence-sorted candidate permutation order that finds a strong
   incumbent early;
-* :mod:`repro.canonical.form` — the exact canonicalizer: ``canonical_min``
-  gather kernels for ``n <= 6``, an influence-ordered, incumbent-bounded
-  scalar search above, and the ``n{n}-c{hex}`` class-id scheme;
+* :mod:`repro.canonical.form` — the exact canonicalizer: the packed
+  ``canonical_min`` swap walk for ``n <= 6``, an influence-ordered,
+  incumbent-bounded scalar search above, and the ``n{n}-c{hex}`` class-id
+  scheme;
 * :mod:`repro.canonical.engine` — :class:`CanonicalClassifier`, the
   hybrid engine that uses the MixedSignature as a cheap pre-filter and
   the exact form as the decider.

@@ -1,14 +1,14 @@
-"""Vectorized NPN transform kernels — the gather-table hot path.
+"""Vectorized NPN transform kernels on one-word truth tables.
 
 For ``n <= 6`` a truth table fits one ``uint64`` and applying an NPN
 transform is a precomputable *index gather*, not a loop.  This package
 precomputes per-arity gather tables (memory-cached, lazily persisted
-under the class-library directory) and exposes vectorized primitives on
-top of them:
+under the class-library directory) and exposes vectorized primitives:
 
 * :func:`apply_transforms` — many tables × many transforms in one gather;
 * :func:`orbit` / :func:`orbit_chunks` — exhaustive orbit enumeration;
-* :func:`canonical_min` — batched exhaustive canonical minima;
+* :func:`canonical_min` — batched exhaustive canonical minima, by an
+  adjacent-swap walk over packed words (no gather tables);
 * :func:`key_matrices` — batched matcher variable keys in int64 rows.
 
 The matcher (:mod:`repro.baselines.matcher`), the class library

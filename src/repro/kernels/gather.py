@@ -82,11 +82,6 @@ class GatherTable:
     def table_size(self) -> int:
         return self.perm_maps.shape[1]
 
-    @property
-    def np_group_order(self) -> int:
-        """Order of the NP (no output negation) group: ``2**n * n!``."""
-        return self.num_perms << self.n
-
     def row_of(self, perm: tuple[int, ...]) -> int:
         """Row index of a permutation (O(1) dict lookup)."""
         return _perm_rows(self.n)[tuple(perm)]

@@ -1,4 +1,4 @@
-"""Vectorized transform primitives on top of the gather tables.
+"""Vectorized transform primitives on packed ``uint64`` truth tables.
 
 Three primitives, all operating on batches and all exact:
 
@@ -13,15 +13,20 @@ Three primitives, all operating on batches and all exact:
   byte-identical to
   :func:`repro.baselines.exact_enum.exact_npn_canonical`.
 
-Everything routes through the same two moves: unpack tables to a
+The first two route through the gather tables: unpack tables to a
 ``[B, 2**n]`` bit matrix once, gather it through precomputed index maps,
-and pack the gathered bits back to ``uint64`` rows.  Output negation is
-a single XOR with the full table mask after packing.
+and pack the gathered bits back to ``uint64`` rows.  The canonical
+minimum needs every image but no particular order, so it never unpacks:
+it walks the packed words through all permutations by adjacent variable
+swaps, each a shift-and-mask delta-swap.  Output negation is a single
+XOR with the full table mask on packed words in both.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from functools import lru_cache
+from math import factorial
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +34,7 @@ import numpy as np
 from repro.core import bitops
 from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
-from repro.kernels.gather import MAX_KERNEL_VARS, GatherTable, gather_table
+from repro.kernels.gather import MAX_KERNEL_VARS, gather_table
 
 __all__ = [
     "bit_matrix",
@@ -46,20 +51,32 @@ __all__ = [
 _ENTRY_BUDGET = 1 << 25
 
 
-def _as_ints(tables) -> tuple[int | None, list[int]]:
-    """Normalise a table batch to ``(n_or_None, raw integer list)``."""
+def _as_ints(tables, n: int | None) -> tuple[int, list[int]]:
+    """Normalise a table batch to ``(arity, raw integer list)``.
+
+    ``n`` is required for raw integers and must match :class:`TruthTable`
+    items when both are given.
+    """
     ints: list[int] = []
-    n: int | None = None
+    batch_n: int | None = None
     for item in tables:
         if isinstance(item, TruthTable):
-            if n is None:
-                n = item.n
-            elif item.n != n:
-                raise ValueError(f"mixed arities in batch: {item.n} != {n}")
+            if batch_n is None:
+                batch_n = item.n
+            elif item.n != batch_n:
+                raise ValueError(
+                    f"mixed arities in batch: {item.n} != {batch_n}"
+                )
             ints.append(item.bits)
         else:
             ints.append(int(item))
-    return n, ints
+    if batch_n is None:
+        if n is None:
+            raise ValueError("pass n when tables are raw integers")
+        batch_n = n
+    elif n is not None and n != batch_n:
+        raise ValueError(f"explicit n={n} != batch arity {batch_n}")
+    return batch_n, ints
 
 
 def bit_matrix(n: int, ints: Sequence[int]) -> np.ndarray:
@@ -144,13 +161,7 @@ def apply_transforms(
     required); all transforms must act on the same arity.
     """
     transforms = list(transforms)
-    batch_n, ints = _as_ints(tables)
-    if batch_n is None:
-        if n is None:
-            raise ValueError("pass n when tables are raw integers")
-        batch_n = n
-    elif n is not None and n != batch_n:
-        raise ValueError(f"explicit n={n} != batch arity {batch_n}")
+    batch_n, ints = _as_ints(tables, n)
     for t in transforms:
         if t.n != batch_n:
             raise ValueError(
@@ -220,48 +231,151 @@ def orbit(
     )
 
 
-def canonical_min(
-    tables: Iterable,
-    n: int | None = None,
-    cache_dir: str | Path | None = None,
-) -> np.ndarray:
+def canonical_min(tables: Iterable, n: int | None = None) -> np.ndarray:
     """Batched exhaustive canonical minimum: ``[B]`` ``uint64``.
 
     Entry ``b`` is the smallest truth table in the full NPN orbit of
     ``tables[b]`` — the canonical form of
     :func:`repro.baselines.exact_enum.exact_npn_canonical`, for the
-    whole batch at once.  Work is chunked along both the batch and the
-    permutation group so no intermediate exceeds the entry budget.
+    whole batch at once.
+
+    The orbit minimum is a minimum over a set, so the enumeration order
+    is free.  Each table's ``2**(n+1)`` input/output phase images are
+    held as one row of packed words; an adjacent-swap walk then carries
+    every row through all ``n!`` variable permutations, one delta-swap
+    on the whole array per step, under a running minimum.  Small
+    batches first expand the rows over the permutations of the low
+    variables, so the walk takes fewer, larger steps.
     """
-    batch_n, ints = _as_ints(tables)
-    if batch_n is None:
-        if n is None:
-            raise ValueError("pass n when tables are raw integers")
-        batch_n = n
-    elif n is not None and n != batch_n:
-        raise ValueError(f"explicit n={n} != batch arity {batch_n}")
-    gt = gather_table(batch_n, cache_dir)
-    size = gt.table_size
-    mask = np.uint64(bitops.table_mask(batch_n))
-    best = np.empty(len(ints), dtype=np.uint64)
-    per_row = gt.np_group_order * size  # full-group entries per table
-    table_chunk = max(1, _ENTRY_BUDGET // max(1, per_row))
-    perm_block = max(1, _ENTRY_BUDGET // (max(1, table_chunk) * size * size))
-    for t_start in range(0, len(ints), table_chunk):
-        chunk_ints = ints[t_start : t_start + table_chunk]
-        bits = bit_matrix(batch_n, chunk_ints)
-        running = np.full(len(chunk_ints), mask, dtype=np.uint64)
-        for p_start in range(0, gt.num_perms, perm_block):
-            maps = gt.group_index_maps(slice(p_start, p_start + perm_block))
-            packed = pack_rows(bits[:, maps])  # [chunk, block * 2**n]
-            np.minimum(running, packed.min(axis=1), out=running)
-            np.minimum(running, (packed ^ mask).min(axis=1), out=running)
-        best[t_start : t_start + len(chunk_ints)] = running
+    batch_n, ints = _as_ints(tables, n)
+    if not 0 <= batch_n <= MAX_KERNEL_VARS:
+        raise ValueError(
+            f"kernels serve n <= {MAX_KERNEL_VARS}, got n={batch_n}"
+        )
+    words = np.array(ints, dtype=np.uint64) & np.uint64(
+        bitops.table_mask(batch_n)
+    )
+    best = np.empty(len(words), dtype=np.uint64)
+    rows, low_vars = _walk_shape(batch_n, len(words))
+    for start in range(0, len(words), rows):
+        best[start : start + rows] = _walk_min(
+            words[start : start + rows], batch_n, low_vars
+        )
     return best
 
 
-def canonical_min_table(
-    tt: TruthTable, cache_dir: str | Path | None = None
-) -> TruthTable:
+def canonical_min_table(tt: TruthTable) -> TruthTable:
     """Single-table convenience wrapper around :func:`canonical_min`."""
-    return TruthTable(tt.n, int(canonical_min([tt], cache_dir=cache_dir)[0]))
+    return TruthTable(tt.n, int(canonical_min([tt])[0]))
+
+
+# ----------------------------------------------------------------------
+# The packed-word permutation walk behind :func:`canonical_min`
+# ----------------------------------------------------------------------
+
+
+def _minterm_mask(keep) -> np.uint64:
+    """The ``uint64`` word with bit ``m`` set iff ``keep(m)``."""
+    return np.uint64(sum(1 << m for m in range(64) if keep(m)))
+
+
+#: ``_PHASE_MASKS[i]``: the minterms with ``x_i = 0``.  Flipping input
+#: ``i`` swaps them with the minterms ``1 << i`` above.
+_PHASE_MASKS = tuple(
+    _minterm_mask(lambda m, i=i: not m >> i & 1)
+    for i in range(MAX_KERNEL_VARS)
+)
+
+#: ``_SWAP_MASKS[i]``: the minterms with ``x_i = 1, x_{i+1} = 0``.
+#: Exchanging inputs ``i`` and ``i + 1`` swaps them with the minterms
+#: ``1 << i`` above.
+_SWAP_MASKS = tuple(
+    _minterm_mask(lambda m, i=i: m >> i & 1 and not m >> (i + 1) & 1)
+    for i in range(MAX_KERNEL_VARS - 1)
+)
+
+#: Words per walk chunk: small enough that one step's operands stay in
+#: cache, large enough that numpy's per-call overhead is amortised.
+_WALK_WORDS = _ENTRY_BUDGET >> 9
+
+
+@lru_cache(maxsize=None)
+def _swap_path(n: int, k: int) -> tuple[int, ...]:
+    """Adjacent swaps visiting every coset of ``S_k`` in ``S_n`` once.
+
+    ``S_k`` permutes inputs ``0 .. k-1`` among themselves.  A coset is
+    the arrangement of inputs ``k .. n-1`` over the ``n`` positions, the
+    low inputs filling the rest as one block; step ``i`` exchanges
+    positions ``i`` and ``i + 1``.  Plain changes
+    (Steinhaus–Johnson–Trotter): input ``n - 1`` sweeps across every
+    position of each arrangement of the others, reversing direction
+    between sweeps, so the walk has ``n! / k! - 1`` steps.  ``k <= 1``
+    is the plain-changes order of all ``n!`` permutations.
+    """
+    if n <= max(k, 1):
+        return ()
+    leftward = tuple(range(n - 2, -1, -1))
+    path: list[int] = []
+    at_right = True
+    for step in (*_swap_path(n - 1, k), None):
+        path.extend(leftward if at_right else reversed(leftward))
+        at_right = not at_right
+        if step is None:
+            break
+        # Input n-1 now sits at one end; shift past it if it is at 0.
+        path.append(step if at_right else step + 1)
+    return tuple(path)
+
+
+def _walk_shape(n: int, batch: int) -> tuple[int, int]:
+    """``(tables per chunk, low inputs k)`` of one walk.
+
+    A batch too small to fill a chunk is expanded over the ``k!``
+    permutations of its low inputs first, choosing the ``k`` that fits
+    the chunk and minimises the step count ``k! + n!/k!``.
+    """
+    width = 2 << n
+    if batch * width >= _WALK_WORDS:
+        return max(1, _WALK_WORDS // width), 0
+    fits = [
+        k
+        for k in range(n + 1)
+        if batch * factorial(k) * width <= _WALK_WORDS
+    ]
+    k = min(fits, key=lambda k: factorial(k) + factorial(n) // factorial(k))
+    return max(1, batch), k
+
+
+def _swap_inputs(state: np.ndarray, i: int, scratch: np.ndarray) -> None:
+    """Exchange inputs ``i`` and ``i + 1`` of every word, in place."""
+    shift = np.uint64(1 << i)
+    np.right_shift(state, shift, out=scratch)
+    scratch ^= state
+    scratch &= _SWAP_MASKS[i]
+    state ^= scratch
+    scratch <<= shift
+    state ^= scratch
+
+
+def _walk_min(words: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Orbit minima of one chunk of masked tables (see :func:`canonical_min`)."""
+    state = np.stack([words, words ^ np.uint64(bitops.table_mask(n))], axis=1)
+    for i in range(n):  # double over input i's phase: shift, mask, OR
+        shift = np.uint64(1 << i)
+        flipped = (state & _PHASE_MASKS[i]) << shift
+        flipped |= (state >> shift) & _PHASE_MASKS[i]
+        state = np.concatenate([state, flipped], axis=1)
+    if k > 1:  # one block per permutation of inputs 0 .. k-1
+        blocks = [state]
+        scratch = np.empty_like(state)
+        for i in _swap_path(k, 0):
+            block = blocks[-1].copy()
+            _swap_inputs(block, i, scratch)
+            blocks.append(block)
+        state = np.concatenate(blocks, axis=1)
+    best = state.copy()
+    scratch = np.empty_like(state)
+    for i in _swap_path(n, k):
+        _swap_inputs(state, i, scratch)
+        np.minimum(best, state, out=best)
+    return best.min(axis=1)

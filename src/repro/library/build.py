@@ -2,11 +2,12 @@
 
 Under the default **canonical** id scheme every class representative is
 the *exact orbit minimum* at every arity — computed through the batched
-:func:`repro.canonical.form.canonical_forms` path (``canonical_min``
-gather kernels for ``n <= 6``, the influence-guided scalar search
-above), one call per arity over the first member of every bucket.  The
-class id is a pure function of the orbit (``n{n}-c{hex}``), so two
-independently built libraries mint identical ids for the same orbit.
+:func:`repro.canonical.form.canonical_forms` path (the packed
+``canonical_min`` walk for ``n <= 6``, the influence-guided scalar
+search above), one call per arity over the first member of every
+bucket.  The class id is a pure function of the orbit
+(``n{n}-c{hex}``), so two independently built libraries mint identical
+ids for the same orbit.
 Results from the :class:`~repro.canonical.engine.CanonicalClassifier`
 already carry canonical representatives as their group keys; those are
 reused without recomputation.
@@ -90,11 +91,7 @@ def library_from_result(
                 first = buckets[index][0]
                 pending_by_n.setdefault(first.n, []).append(index)
         for n, bucket_indices in pending_by_n.items():
-            forms = canonical_forms(
-                [buckets[i][0] for i in bucket_indices],
-                n,
-                cache_dir=library.kernel_cache_dir,
-            )
+            forms = canonical_forms([buckets[i][0] for i in bucket_indices], n)
             for i, rep in zip(bucket_indices, forms):
                 reps[i] = rep
         for index, members in enumerate(buckets):

@@ -269,9 +269,7 @@ class LearningLibrary:
         Either way the reply carries a matcher-verified witness.
         """
         if self.library.id_scheme == "canonical":
-            representative = canonical_form(
-                tt, cache_dir=self.library.kernel_cache_dir
-            )
+            representative = canonical_form(tt)
             class_id = canonical_class_id(representative)
             existing = self.library.classes.get(class_id)
             if existing is not None:

@@ -397,9 +397,7 @@ class ClassLibrary:
             rep = (
                 representative
                 if canonical_rep
-                else canonical_form(
-                    representative, cache_dir=self.kernel_cache_dir
-                )
+                else canonical_form(representative)
             )
             derived = canonical_class_id(rep)
             if class_id is None:
@@ -550,7 +548,7 @@ class ClassLibrary:
         not sufficient for membership (use :meth:`match` for certainty).
         """
         if self.id_scheme == "canonical":
-            rep = canonical_form(tt, cache_dir=self.kernel_cache_dir)
+            rep = canonical_form(tt)
             return self.classes.get(canonical_class_id(rep))
         return self.classes.get(self.class_id_of(compute_msv(tt, self.parts)))
 
@@ -898,8 +896,9 @@ def _verify_canonical_reps(directory: Path, library: ClassLibrary) -> None:
     The per-record check already ties each id to its table; this ties
     the table to the *orbit* — a tampered representative cannot smuggle
     a wrong table in under a self-consistent id.  Arities the kernels
-    serve verify as one batched ``canonical_min`` per arity; larger ones
-    go through the scalar canonicalizer.
+    serve verify as one batched ``canonical_min`` per arity (the packed
+    adjacent-swap walk); larger ones go through the scalar
+    canonicalizer.
     """
     by_arity: dict[int, list[NPNClassEntry]] = {}
     for entry in library.classes.values():

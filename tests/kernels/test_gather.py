@@ -29,7 +29,6 @@ class TestConstruction:
         table = gather_table(n)
         assert table.perms.shape == (factorial(n), max(n, 0))
         assert table.perm_maps.shape == (factorial(n), 1 << n)
-        assert table.np_group_order == factorial(n) << n
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_maps_agree_with_apply_index(self, n):
@@ -61,7 +60,7 @@ class TestConstruction:
             for perm_row in [tuple(p) for p in table.perms.tolist()]
             for phase in range(1 << n)
         ]
-        assert maps.shape == (table.np_group_order, 1 << n)
+        assert maps.shape == (len(expected), 1 << n)
         for row, transform in zip(maps, expected):
             for m in range(1 << n):
                 assert row[m] == transform.apply_index(m)

@@ -7,8 +7,9 @@ import zipfile
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.baselines.exact_enum import exact_npn_canonical
-from repro.core.transforms import random_transform
+from repro.core.transforms import NPNTransform, random_transform
 from repro.core.truth_table import TruthTable
 from repro.library import (
     ClassLibrary,
@@ -435,3 +436,47 @@ class TestIdSchemePersistence:
         with pytest.raises(LibraryFormatError, match="non-canonical"):
             ClassLibrary.load(directory)
         ClassLibrary.load(directory, verify=False)  # trusted escape hatch
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_load_rejects_permuted_canonical_rep(self, n, tmp_path):
+        # Same consistent tamper, but the impostor is a rep's image under
+        # a random transform with a non-identity permutation, reduced to
+        # its smallest phase image: no input or output negation alone
+        # lowers it, so only a check that walks the permutations sees
+        # that it is not its orbit's minimum.
+        library = build_library(random_tables(n, 12, seed=90 + n))
+        directory = tmp_path / "lib"
+        library.save(directory)
+        identity = tuple(range(n))
+        phases = [
+            NPNTransform(identity, phase, output)
+            for phase in range(1 << n)
+            for output in (0, 1)
+        ]
+        rng = random.Random(90 + n)
+        for row, victim in enumerate(library.entries()):
+            transform = random_transform(n, rng)
+            if transform.perm == identity:
+                continue
+            image = victim.representative.apply(transform)
+            impostor = TruthTable(
+                n, int(kernels.apply_transforms([image], phases).min())
+            )
+            if impostor != victim.representative:
+                break
+        else:  # pragma: no cover - every draw fixed its rep
+            pytest.fail("no permuted impostor among the classes")
+        with np.load(directory / TABLES_FILE) as data:
+            arrays = {name: data[name].copy() for name in data.files}
+        arrays["reps"][row][0] = impostor.bits
+        _write_raw_npz(directory / TABLES_FILE, arrays)
+
+        def tamper(manifest):
+            record = manifest["classes"][row]
+            record["id"] = f"n{n}-c{impostor.to_hex()}"
+            record["representative"] = impostor.to_hex()
+
+        _edit_manifest(directory, tamper)
+        with pytest.raises(LibraryFormatError, match="non-canonical"):
+            ClassLibrary.load(directory)
+        ClassLibrary.load(directory, verify=False)
